@@ -15,8 +15,9 @@
 //!   thread is never on any connection's path: a slow subscriber costs one
 //!   pinned cursor epoch (turned into a single exact `resync` batch once
 //!   the bounded retention window is outrun), a dead client costs nothing
-//!   but its handler thread, which notices the half-close at its next poll
-//!   tick and exits.
+//!   but its handler thread, which notices the half-close within one feed
+//!   poll and exits.  Feed handlers wait on the hub's publish signal, so a
+//!   subscriber gets each epoch pushed as soon as it is published.
 //! * [`NetClient`] / [`NetSubscription`] — `pin`, `pin_at`,
 //!   `repaired_row`, `entity_result`, `changes_since` request/response plus
 //!   pushed change-feed batches, mirroring [`relacc_serve::Server`] and

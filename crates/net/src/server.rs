@@ -14,12 +14,14 @@
 //! Connection lifecycle: handshake (`Hello`/`HelloOk`, version checked),
 //! then request/response frames, until the client either half-closes the
 //! socket (EOF at a frame boundary — the handler exits cleanly) or sends
-//! `Subscribe`, which flips the connection into **feed mode**: the handler
-//! drains a [`relacc_serve::Subscription`] at the socket's pace and pushes
-//! one `Feed` frame per cursor advance.  In feed mode the handler keeps
-//! polling its read half on a short timeout so a half-close or a killed
-//! client is noticed promptly and the handler (with its pinned cursor) goes
-//! away instead of wedging.
+//! `Subscribe`, which flips the connection into **feed mode**.  A feed
+//! handler parks on the epoch hub's publish condvar and pushes one `Feed`
+//! frame as soon as the writer publishes past its cursor; epochs coalesce
+//! into one batch only while the socket or the handler is behind.  Between
+//! pushes it checks its read half without blocking, so a half-close, a
+//! killed client or a shutdown is noticed within one
+//! [`ServeOptions::feed_poll`] and the handler (with its pinned cursor)
+//! goes away instead of wedging.
 
 use crate::wire::{
     epoch_error_message, write_frame, ErrorCode, FrameReader, Message, Poll, WireError,
@@ -36,15 +38,17 @@ use std::time::Duration;
 /// Tunables of one [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Socket read timeout: the granularity at which idle handlers re-check
-    /// the shutdown flag and feed handlers poll for half-close.  Never
-    /// surfaced to the client — a timeout just loops.
+    /// Socket read timeout: the granularity at which idle request/response
+    /// handlers re-check the shutdown flag.  Never surfaced to the client —
+    /// a timeout just loops — and never on a feed's path: feed handlers
+    /// wait on the epoch hub, not on the socket.
     pub read_timeout: Duration,
     /// Socket write timeout: a response or feed push that cannot make
     /// progress for this long marks the client dead and the handler exits.
     pub write_timeout: Duration,
-    /// How long a feed handler waits for the next epoch before re-polling
-    /// the socket for half-close.
+    /// How often an idle feed handler (no epoch published) wakes to check
+    /// its socket for half-close and the server for shutdown.  Pushes never
+    /// wait for it: each publish wakes the handler at once.
     pub feed_poll: Duration,
 }
 
@@ -101,8 +105,9 @@ impl NetServer {
     }
 
     /// Stop accepting connections and wind down handler threads.  Live
-    /// handlers notice the flag at their next read-timeout tick; the accept
-    /// loop is woken by a loopback connection and joined.
+    /// handlers notice the flag within one read timeout (request/response)
+    /// or one feed poll (feed mode); the accept loop is woken by a loopback
+    /// connection and joined, handlers with it.
     pub fn shutdown(&mut self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
@@ -153,15 +158,6 @@ fn accept_loop(
     }
 }
 
-/// Handler-side connection outcomes that end the session without being
-/// transport failures.
-enum SessionEnd {
-    /// The client half-closed (or closed) the connection.
-    Closed,
-    /// The server is shutting down.
-    Stopping,
-}
-
 fn handle_connection(
     stream: TcpStream,
     server: &Server,
@@ -183,27 +179,24 @@ fn handle_connection(
         options,
         stop,
     );
-    let _ = stream.shutdown(Shutdown::Both);
-    match end {
-        Ok(SessionEnd::Closed | SessionEnd::Stopping) => Ok(()),
-        Err(e) => {
-            // best-effort diagnostic for protocol errors; transport errors
-            // mean the peer is gone and nobody is listening
-            if let WireError::Malformed(_) | WireError::UnknownType(_) | WireError::Oversized(_) =
-                &e
-            {
-                let _ = write_frame(
-                    &mut write_half,
-                    &Message::Error {
-                        code: ErrorCode::Malformed,
-                        value: 0,
-                        detail: e.to_string(),
-                    },
-                );
-            }
-            Err(e)
-        }
+    // best-effort diagnostic for protocol errors, sent before the socket is
+    // shut down; transport errors mean the peer is gone and nobody is
+    // listening
+    if let Err(
+        e @ (WireError::Malformed(_) | WireError::UnknownType(_) | WireError::Oversized(_)),
+    ) = &end
+    {
+        let _ = write_frame(
+            &mut write_half,
+            &Message::Error {
+                code: ErrorCode::Malformed,
+                value: 0,
+                detail: e.to_string(),
+            },
+        );
     }
+    let _ = stream.shutdown(Shutdown::Both);
+    end
 }
 
 /// Block until the next complete frame, tolerating read-timeout ticks.
@@ -212,7 +205,7 @@ fn next_frame(
     reader: &mut FrameReader,
     read_half: &mut TcpStream,
     stop: &AtomicBool,
-) -> Result<Option<Message>, SessionError> {
+) -> Result<Option<Message>, WireError> {
     loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(None);
@@ -225,23 +218,8 @@ fn next_frame(
     }
 }
 
-/// Internal composite so `?` works across wire and session control flow.
-enum SessionError {
-    Wire(WireError),
-}
-
-impl From<WireError> for SessionError {
-    fn from(e: WireError) -> Self {
-        SessionError::Wire(e)
-    }
-}
-
-impl From<io::Error> for SessionError {
-    fn from(e: io::Error) -> Self {
-        SessionError::Wire(WireError::Io(e))
-    }
-}
-
+/// One connection from handshake to goodbye.  `Ok` when the client closed
+/// or the server is stopping; `Err` on a transport or protocol failure.
 fn session(
     reader: &mut FrameReader,
     read_half: &mut TcpStream,
@@ -249,31 +227,10 @@ fn session(
     server: &Server,
     options: &ServeOptions,
     stop: &AtomicBool,
-) -> Result<SessionEnd, WireError> {
-    match session_inner(reader, read_half, write_half, server, options, stop) {
-        Ok(end) => Ok(end),
-        Err(SessionError::Wire(e)) => Err(e),
-    }
-}
-
-fn session_inner(
-    reader: &mut FrameReader,
-    read_half: &mut TcpStream,
-    write_half: &mut TcpStream,
-    server: &Server,
-    options: &ServeOptions,
-    stop: &AtomicBool,
-) -> Result<SessionEnd, SessionError> {
+) -> Result<(), WireError> {
     // --- handshake -------------------------------------------------------
-    let hello = match next_frame(reader, read_half, stop)? {
-        Some(m) => m,
-        None => {
-            return Ok(if stop.load(Ordering::SeqCst) {
-                SessionEnd::Stopping
-            } else {
-                SessionEnd::Closed
-            });
-        }
+    let Some(hello) = next_frame(reader, read_half, stop)? else {
+        return Ok(());
     };
     match hello {
         Message::Hello { version } if version == PROTOCOL_VERSION => {}
@@ -288,13 +245,13 @@ fn session_inner(
                     ),
                 },
             )?;
-            return Ok(SessionEnd::Closed);
+            return Ok(());
         }
         other => {
-            return Err(SessionError::Wire(WireError::Malformed(format!(
+            return Err(WireError::Malformed(format!(
                 "expected Hello, got {:?}",
                 other.msg_type()
-            ))));
+            )));
         }
     }
     write_frame(
@@ -306,17 +263,7 @@ fn session_inner(
     )?;
 
     // --- request/response ------------------------------------------------
-    loop {
-        let request = match next_frame(reader, read_half, stop)? {
-            Some(m) => m,
-            None => {
-                return Ok(if stop.load(Ordering::SeqCst) {
-                    SessionEnd::Stopping
-                } else {
-                    SessionEnd::Closed
-                });
-            }
-        };
+    while let Some(request) = next_frame(reader, read_half, stop)? {
         let response = match request {
             Message::Pin => {
                 let epoch = server.pin();
@@ -354,20 +301,24 @@ fn session_inner(
                 return feed(reader, read_half, write_half, server, options, stop);
             }
             other => {
-                return Err(SessionError::Wire(WireError::Malformed(format!(
+                return Err(WireError::Malformed(format!(
                     "unexpected request {:?}",
                     other.msg_type()
-                ))));
+                )));
             }
         };
         write_frame(write_half, &response)?;
     }
+    Ok(())
 }
 
-/// Feed mode: push one `Feed` frame per cursor advance, at this
-/// subscriber's own pace.  The subscription's pinned cursor carries the
-/// exactness guarantee — outrunning the hub's retention window produces one
-/// `resync: true` batch diffed from the pinned cursor, never a gap.
+/// Feed mode: push one `Feed` frame as soon as an epoch past the cursor is
+/// published.  The handler parks on the hub's publish condvar, not on the
+/// socket, so no read timeout ever delays a push; every epoch published
+/// while a push is in flight coalesces into the next batch.  The
+/// subscription's pinned cursor carries the exactness guarantee —
+/// outrunning the hub's retention window produces one `resync: true` batch
+/// diffed from the pinned cursor, never a gap.
 fn feed(
     reader: &mut FrameReader,
     read_half: &mut TcpStream,
@@ -375,7 +326,7 @@ fn feed(
     server: &Server,
     options: &ServeOptions,
     stop: &AtomicBool,
-) -> Result<SessionEnd, SessionError> {
+) -> Result<(), WireError> {
     let mut subscription = server.subscribe();
     write_frame(
         write_half,
@@ -387,19 +338,29 @@ fn feed(
     loop {
         // notice shutdown, half-close and stray frames between pushes
         if stop.load(Ordering::SeqCst) {
-            return Ok(SessionEnd::Stopping);
+            return Ok(());
         }
-        match reader.poll(read_half)? {
-            Poll::Closed => return Ok(SessionEnd::Closed),
+        match poll_now(reader, read_half)? {
+            Poll::Closed => return Ok(()),
             Poll::Pending => {}
             Poll::Frame(_) => {
-                return Err(SessionError::Wire(WireError::Malformed(
+                return Err(WireError::Malformed(
                     "unexpected frame on a subscribed connection".into(),
-                )));
+                ));
             }
         }
         if let Some(batch) = subscription.next_batch(options.feed_poll) {
             write_frame(write_half, &Message::Feed { batch })?;
         }
     }
+}
+
+/// Poll `read_half` without blocking.  `try_clone`d halves share one file
+/// description and with it `O_NONBLOCK`, so the socket is made blocking
+/// again before returning: the write half's pushes stay blocking.
+fn poll_now(reader: &mut FrameReader, read_half: &mut TcpStream) -> Result<Poll, WireError> {
+    read_half.set_nonblocking(true)?;
+    let polled = reader.poll(read_half);
+    read_half.set_nonblocking(false)?;
+    polled
 }
